@@ -13,8 +13,8 @@ NVMes" (Fig. 12) happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from repro.errors import (
     DeviceOfflineError,
     DeviceTimeoutError,
     MediaError,
+    ReactorOfflineError,
     RetryExhaustedError,
 )
 from repro.hw.platform import Platform
 from repro.obs.causal import mint_context
-from repro.sim.core import Environment, Event
+from repro.sim.core import Event
 from repro.sim.resources import Store
 from repro.sim.stats import Counter, LatencyStat
 from repro.spdk.driver import SpdkDriver
@@ -86,14 +87,12 @@ class CamManager:
         #: driver retries/guards each request, the manager types the
         #: batch-level failure
         self.reliability = reliability
-        #: submit batches through the coalesced per-reactor path
-        #: (:meth:`SpdkDriver.io_batch` /
-        #: :meth:`SpdkDriver.io_batch_reliable`) instead of one process
-        #: per request.  Timings are identical; ``coalesce=False`` keeps
-        #: the fan-out path for differential testing.  With a
-        #: reliability bundle the coalesced path peels failed commands
-        #: off the group and re-drives them per-request, so the fast
-        #: path and the reliable path are the same path.
+        #: submit batches through the coalesced per-reactor walk
+        #: (:meth:`SpdkDriver.io_batch`) instead of one process per
+        #: request.  Timings are identical; ``coalesce=False`` keeps the
+        #: fan-out path for differential testing.  With a reliability
+        #: bundle the same walk peels failed commands off the group and
+        #: re-drives them per-request.
         self.coalesce = coalesce
         #: optional :class:`~repro.reliability.AdmissionController`;
         #: :meth:`ring` sheds batches beyond its in-flight bounds with a
@@ -268,33 +267,33 @@ class CamManager:
         prefix = (
             f"{len(failures)} of {batch.request_count} requests failed"
         )
-        offline = [
-            error
-            for (_, _, _, error) in failures
-            if isinstance(error, DeviceOfflineError)
-        ]
-        if offline:
-            first = offline[0]
-            return DeviceOfflineError(
-                f"{prefix}; first: {first}",
-                ssd_id=first.ssd_id,
-                lba=first.lba,
-                attempts=first.attempts,
-                timeout=first.timeout,
+
+        def first(cls):
+            return next(
+                (error for *_, error in failures if isinstance(error, cls)),
+                None,
             )
-        timeouts = [
-            error
-            for (_, _, _, error) in failures
-            if isinstance(error, DeviceTimeoutError)
-        ]
-        if timeouts:
-            first = timeouts[0]
-            return DeviceTimeoutError(
-                f"{prefix}; first: {first}",
-                ssd_id=first.ssd_id,
-                lba=first.lba,
-                attempts=first.attempts,
-                timeout=first.timeout,
+
+        timeout = first(DeviceOfflineError) or first(DeviceTimeoutError)
+        if timeout is not None:
+            return type(timeout)(
+                f"{prefix}; first: {timeout}",
+                ssd_id=timeout.ssd_id,
+                lba=timeout.lba,
+                attempts=timeout.attempts,
+                timeout=timeout.timeout,
+            )
+        dead = first(ReactorOfflineError)
+        if dead is not None:
+            # built from fields, not the message: the coalesced and
+            # fan-out paths word the per-request error differently
+            return ReactorOfflineError(
+                f"{prefix}; first: reactor {dead.reactor_id} offline "
+                f"(ssd {dead.ssd_id} lba {dead.lba})",
+                reactor_id=dead.reactor_id,
+                ssd_id=dead.ssd_id,
+                lba=dead.lba,
+                attempts=dead.attempts,
             )
         lba, status, attempts, _ = failures[0]
         cls = MediaError if self.reliability is None else (
@@ -312,13 +311,12 @@ class CamManager:
 
         The coalesced path groups the batch per owning reactor and walks
         each group inside one generator
-        (:meth:`~repro.spdk.driver.SpdkDriver.io_batch` or its
-        reliability-aware sibling
-        :meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`); the
-        fan-out path spawns one process per request.  Both produce
-        identical simulated timestamps — the differential tests in
-        ``tests/test_coalesced_differential.py`` and
-        ``tests/test_reliable_coalesced_differential.py`` pin that down.
+        (:meth:`~repro.spdk.driver.SpdkDriver.io_batch`, with or without
+        a reliability bundle); the fan-out path spawns one process per
+        request.  Both produce identical simulated timestamps — the
+        differential tests in ``tests/test_coalesced_differential.py``
+        and ``tests/test_reliable_coalesced_differential.py`` pin that
+        down.
 
         In degraded mode (admission controller past its high-water mark,
         or an open circuit breaker) the batch is processed in slices of
@@ -330,25 +328,46 @@ class CamManager:
             if self.admission is not None
             else None
         )
+        walk = (
+            self._process_batch_coalesced
+            if self.coalesce
+            else self._process_batch_fanout
+        )
         count = batch.request_count
         if limit is None or limit >= count:
-            if self.coalesce:
-                failures = yield from self._process_batch_coalesced(batch)
-            else:
-                failures = yield from self._process_batch_fanout(batch)
-            return failures
+            outcomes = yield from walk(batch, 0, count)
+            return self._failures(batch, outcomes)
         failures = []
         for start in range(0, count, limit):
-            stop = min(start + limit, count)
-            if self.coalesce:
-                part = yield from self._process_batch_coalesced(
-                    batch, start, stop
-                )
-            else:
-                part = yield from self._process_batch_fanout(
-                    batch, start, stop
-                )
-            failures.extend(part)
+            outcomes = yield from walk(batch, start, min(start + limit, count))
+            failures.extend(self._failures(batch, outcomes))
+        return failures
+
+    @staticmethod
+    def _failures(batch: BatchRequest, outcomes) -> list:
+        """The ``(lba, status, attempts, error)`` records of the failed
+        requests among ``outcomes``, a list of ``(index, outcome)``.
+
+        ``error`` is the typed exception when the driver raised for the
+        request (watchdog timeout, offline device, dead reactor), else
+        ``None`` for an error CQE.
+        """
+        failures = []
+        for index, outcome in outcomes:
+            if isinstance(outcome, DeviceError):
+                failures.append((
+                    int(batch.lbas[index]),
+                    getattr(outcome, "status", None) or 0,
+                    getattr(outcome, "attempts", 1),
+                    outcome,
+                ))
+            elif outcome is not None and not outcome.ok:
+                failures.append((
+                    int(batch.lbas[index]),
+                    outcome.status,
+                    outcome.attempts,
+                    None,
+                ))
         return failures
 
     def _payload(self, batch: BatchRequest, index: int):
@@ -362,24 +381,18 @@ class CamManager:
         return None
 
     def _process_batch_coalesced(
-        self,
-        batch: BatchRequest,
-        start: int = 0,
-        stop: Optional[int] = None,
+        self, batch: BatchRequest, start: int, stop: int
     ) -> Generator:
-        """Group per reactor (batch order preserved inside each group) and
-        submit each group through one coalesced generator."""
+        """Group requests ``start:stop`` per reactor (batch order kept
+        inside each group) and walk each group through one
+        :meth:`SpdkDriver.io_batch` generator; returns ``(index,
+        outcome)`` pairs in batch order."""
         driver = self.driver
         platform = self.platform
         handles = driver._handles
-        reliable = self.reliability is not None
-        submit = driver.io_batch_reliable if reliable else driver.io_batch
-        # the fail-fast path records the resize epoch the grouping was
-        # computed against, so an elastic remap landing mid-flight drains
-        # the group on its original reactor instead of rejecting it (the
-        # reliable path re-drives re-homed items per-request instead)
-        extra = {} if reliable else {"epoch": driver.resize_epoch}
-        stop = batch.request_count if stop is None else stop
+        # the resize epoch the grouping is computed against: a remap
+        # landing mid-flight is then told apart from a malformed group
+        epoch = driver.resize_epoch
         groups: dict = {}  # Reactor -> [(index, ssd_index, local_lba, payload)]
         for index in range(start, stop):
             lba = batch.lbas[index]
@@ -391,98 +404,44 @@ class CamManager:
             items.append(
                 (index, ssd.ssd_id, local_lba, self._payload(batch, index))
             )
-        grouped = list(groups.values())
-        if len(grouped) == 1:
-            results = yield from submit(
-                grouped[0],
+        walks = [
+            driver.io_batch(
+                items,
                 batch.granularity,
                 is_write=batch.is_write,
                 target=batch.dest,
                 parent_span=batch.trace_span,
-                **extra,
+                epoch=epoch,
             )
-        else:
-            procs = [
-                self.env.process(
-                    submit(
-                        items,
-                        batch.granularity,
-                        is_write=batch.is_write,
-                        target=batch.dest,
-                        parent_span=batch.trace_span,
-                        **extra,
-                    )
-                )
-                for items in grouped
-            ]
-            done = yield self.env.all_of(procs)
-            results = []
-            for proc in procs:
-                results.extend(done[proc])
-            results.sort(key=lambda pair: pair[0])
-        failures = []
-        for index, outcome in results:
-            if isinstance(outcome, DeviceError):
-                # the driver raised a typed error for this request
-                # (watchdog timeout, offline device, dead reactor)
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        getattr(outcome, "status", None) or 0,
-                        getattr(outcome, "attempts", 1),
-                        outcome,
-                    )
-                )
-            elif not outcome.ok:
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        outcome.status,
-                        outcome.attempts,
-                        None,
-                    )
-                )
-        return failures
+            for items in groups.values()
+        ]
+        if len(walks) == 1:
+            results = yield from walks[0]
+            return results
+        procs = [self.env.process(walk) for walk in walks]
+        done = yield self.env.all_of(procs)
+        results = []
+        for proc in procs:
+            results.extend(done[proc])
+        results.sort()  # batch indexes are unique: outcomes never compare
+        return results
 
     def _process_batch_fanout(
-        self,
-        batch: BatchRequest,
-        start: int = 0,
-        stop: Optional[int] = None,
+        self, batch: BatchRequest, start: int, stop: int
     ) -> Generator:
-        """Fan the batch out over the SSDs and wait for every CQE."""
-        stop = batch.request_count if stop is None else stop
-        children = []
+        """Fan requests ``start:stop`` out over the SSDs, one process
+        each; returns ``(index, outcome)`` pairs in batch order."""
         indexes = range(start, stop)
-        for index in indexes:
-            children.append(
-                self.env.process(
-                    self._request(batch, index, self._payload(batch, index))
-                )
+        children = [
+            self.env.process(
+                self._request(batch, index, self._payload(batch, index))
             )
+            for index in indexes
+        ]
         results = yield self.env.all_of(children)
-        failures = []
-        for index, child in zip(indexes, children):
-            outcome = results[child]
-            if isinstance(outcome, DeviceError):
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        getattr(outcome, "status", None) or 0,
-                        getattr(outcome, "attempts", 1),
-                        outcome,
-                    )
-                )
-            elif outcome is not None and not outcome.ok:
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        outcome.status,
-                        outcome.attempts,
-                        None,
-                    )
-                )
-        return failures
+        return [
+            (index, results[child]) for index, child in zip(indexes, children)
+        ]
 
     def _request(self, batch: BatchRequest, index: int, payload) -> Generator:
         """One fan-out request; typed device errors (watchdog timeouts)

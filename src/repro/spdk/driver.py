@@ -334,7 +334,7 @@ class SpdkDriver:
             try:
                 span = yield from handle.reactor.charge(parent=parent_span)
                 break
-            except ReactorOfflineError:
+            except ReactorOfflineError as error:
                 current = self._handles[ssd_index]
                 if (
                     current.reactor is not handle.reactor
@@ -343,13 +343,17 @@ class SpdkDriver:
                     # failover already re-homed this SSD — retry there
                     handle = current
                     continue
-                if self.reliability is None:
-                    raise
-                handle = yield from self._await_failover(
-                    ssd_index, current.reactor
-                )
-                if handle is None:
-                    raise
+                rescued = None
+                if self.reliability is not None:
+                    rescued = yield from self._await_failover(
+                        ssd_index, current.reactor
+                    )
+                if rescued is None:
+                    # name the request the dead reactor stranded
+                    error.ssd_id = ssd_index
+                    error.lba = local_lba
+                    raise error
+                handle = rescued
         cost = handle.reactor.account_request(
             poll_iterations=self._poll_iterations(is_write)
         )
@@ -407,32 +411,39 @@ class SpdkDriver:
         :class:`~repro.oskernel.blockio.CompletionGroup` per SSD instead
         of one waiter event + process per request.
 
+        Without a reliability bundle the walk is fail-fast: each SSD's
+        group event delivers its CQEs, and items the owning reactor
+        crashed under before they reached the wire come back as
+        :class:`~repro.errors.ReactorOfflineError`.  With a bundle each
+        group gets a *sink* instead: successful CQEs settle at coalesced
+        speed, failed CQEs are re-driven through :meth:`Reliability.run`
+        (the failed CQE counts as attempt 1, so retry/backoff/breaker
+        accounting matches the fan-out path exactly), every item on the
+        wire carries the watchdog deadline the fan-out path would arm,
+        and items a crash left unsubmitted ride the full per-request
+        path, which waits out a failover.
+
         Returns a list of ``(orig_index, outcome)`` sorted by
-        ``orig_index`` — each outcome a CQE, or a
-        :class:`~repro.errors.ReactorOfflineError` for items the owning
-        reactor crashed under before they reached the wire.
+        ``orig_index`` — each outcome a CQE (with a bundle: ok, or the
+        final failure after the retry budget) or a typed
+        :class:`~repro.errors.DeviceError`.
 
         ``epoch`` is the :attr:`resize_epoch` observed when the caller
         formed the group (defaults to the value at generator start).  If
         a remap moves an SSD to another reactor after that point — an
-        elastic resize or a failover landing mid-group — the group keeps
-        draining on its original reactor (in-flight work drains where it
-        was charged; only *new* groups land on the new assignment).  A
-        mixed group with no intervening remap is a caller bug and still
-        raises :class:`~repro.errors.ConfigurationError`.
-
-        Only valid without a reliability bundle — per-request retries and
-        watchdog deadlines ride :meth:`io_batch_reliable` instead.
+        elastic resize or a failover landing mid-group — a fail-fast
+        group keeps draining on its original reactor (in-flight work
+        drains where it was charged; only *new* groups land on the new
+        assignment), while a reliable group re-drives the item
+        per-request on its new owner.  A mixed group with no intervening
+        remap is a caller bug and raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if self.reliability is not None:
-            raise ConfigurationError(
-                "io_batch is the fail-fast path; use io_batch_reliable "
-                "with a reliability bundle"
-            )
         if not items:
             return []
         if epoch is None:
             epoch = self.resize_epoch
+        env = self.env
         block_size = self.platform.config.ssd.block_size
         num_blocks = max(1, -(-granularity // block_size))
         poll_iterations = self._poll_iterations(is_write)
@@ -440,14 +451,142 @@ class SpdkDriver:
         handles = self._handles
         ssds = self.platform.ssds
         reactor = handles[items[0][1]].reactor
-        env = self.env
         tracer = env.tracer
+        tracing = tracer.enabled
+        metrics = env.metrics
+        per_request_cpu = self.config.per_request_cpu
+        reliability = self.reliability
         groups = {}  # ssd_index -> CompletionGroup
         owners = {}  # command_id -> orig_index
+        sink = None
+        if reliability is not None:
+            # reliability-only state is built only when a bundle is
+            # attached: serving rings many tiny batches, so anything set
+            # up per walk is paid every few requests on the fail-fast path
+            watchdog = reliability.watchdog
+            injector = self.platform.fault_injector
+            by_index = {item[0]: item for item in items}
+            outcomes = {}  # orig_index -> CQE | DeviceError
+            #: orig_indexes whose first CQE arrived (disarms the watchdog;
+            #: retries arm their own guards inside _attempt)
+            first_done = set()
+            all_done = env.event()
+            count = remaining = len(items)
 
-        per_request_cpu = self.config.per_request_cpu
-        tracing = tracer.enabled
-        submitted = 0
+            def settle(orig_index, outcome):
+                nonlocal remaining
+                if orig_index in outcomes:
+                    # invariant: a request terminates exactly once
+                    self.duplicate_completions += 1
+                    return
+                outcomes[orig_index] = outcome
+                remaining -= 1
+                if remaining == 0:
+                    all_done.succeed()
+
+            def redrive(orig_index, first_cqe=None, hop=None):
+                """Process: the full per-request reliable path for one item.
+
+                ``first_cqe`` is a failed CQE the sink peeled off the
+                group; it counts as attempt 1.  The fan-out path delivers
+                it to its request process across three same-instant event
+                hops — the CQ-ring wake (``hop``, scheduled by the sink),
+                the per-command waiter event, and the watchdog's AnyOf
+                condition — so they are replayed first: the retry's
+                backoff timer is then created at exactly the position in
+                the event order where the fan-out path would create it,
+                keeping same-instant tie-breaks on shared stages
+                bit-identical.
+                """
+                _, ssd_index, local_lba, payload = by_index[orig_index]
+                if metrics.enabled:
+                    metrics.redrive()
+                if tracing and parent_span is not None:
+                    # flow-link the redrive back to the originating
+                    # request so cam-trace can attribute retry latency
+                    # to its trace_id
+                    tracer.instant(
+                        "redrive_link",
+                        parent=parent_span,
+                        ssd=ssd_index,
+                        lba=local_lba,
+                        trace_id=parent_span.tags.get("trace_id"),
+                        links=parent_span.tags.get("links"),
+                    )
+                if hop is not None:
+                    yield hop                # CQ-ring -> dispatcher wake
+                    yield env.timeout(0.0)   # per-command waiter event
+                    yield env.timeout(0.0)   # watchdog AnyOf condition
+
+                def attempt():
+                    # re-fetch the handle: after a failover the SSD may
+                    # have been re-homed onto a surviving reactor
+                    return self._attempt(
+                        self._handles[ssd_index], ssd_index, local_lba,
+                        num_blocks, granularity, is_write, payload, target,
+                        orig_index * granularity, parent_span,
+                    )
+
+                try:
+                    outcome = yield from reliability.run(
+                        attempt,
+                        ssd_id=ssd_index,
+                        lba=local_lba,
+                        is_write=is_write,
+                        parent_span=parent_span,
+                        first_cqe=first_cqe,
+                    )
+                except DeviceError as error:
+                    if isinstance(error, DeviceTimeoutError):
+                        # the watchdog expired: the device is not answering
+                        reliability.health.mark_offline(ssd_index)
+                    outcome = error
+                settle(orig_index, outcome)
+
+            def sink(cqe):
+                orig_index = owners[cqe.command_id]
+                if orig_index in outcomes:
+                    return  # watchdog already settled it
+                first_done.add(orig_index)
+                if cqe.ok:
+                    # mirror Reliability.run's first-attempt success
+                    cqe.attempts = 1
+                    reliability.health.record_success(by_index[orig_index][1])
+                    settle(orig_index, cqe)
+                    return
+                hop = env.timeout(0.0)
+                env.process(redrive(orig_index, cqe, hop))
+
+            def arm_watchdog(orig_index, ssd_index, local_lba):
+                # same deadline the fan-out guard would race the CQE against
+                deadline = watchdog.deadline(granularity)
+                timer = env.timeout(deadline)
+
+                def expire(_event):
+                    if orig_index in first_done or orig_index in outcomes:
+                        return
+                    watchdog.timeouts_fired += 1
+                    error = watchdog.classify(
+                        ssd_ids=(ssd_index,),
+                        fault_injector=injector,
+                        deadline=deadline,
+                        description=f"spdk ssd {ssd_index} lba {local_lba}",
+                    )
+                    if tracer.enabled:
+                        tracer.instant(
+                            "watchdog_timeout",
+                            parent=parent_span,
+                            deadline=deadline,
+                            offline=isinstance(error, DeviceOfflineError),
+                        )
+                    reliability.health.mark_offline(ssd_index)
+                    first_done.add(orig_index)
+                    settle(orig_index, error)
+
+                timer.callbacks.append(expire)
+
+        walked = 0  # items taken off the list: on the wire or re-driven
+        peeled = 0  # of those, the ones re-driven per-request
         # Manual request lifecycle (not ``with``): a crash may fail our
         # queued slot request, and the context manager's release on a
         # triggered-but-never-granted request raises double-release.
@@ -458,7 +597,7 @@ class SpdkDriver:
                 yield slot
                 granted = True
             except ReactorOfflineError:
-                pass  # every item becomes a typed outcome below
+                pass  # every item is left over; handled below
             if granted:
                 for orig_index, ssd_index, local_lba, payload in items:
                     if reactor.crashed:
@@ -472,9 +611,16 @@ class SpdkDriver:
                                 f"{handle.reactor.reactor_id}, group "
                                 f"started on {reactor.reactor_id}"
                             )
-                        # a remap re-homed this SSD after the group was
-                        # formed: keep draining on the original reactor
-                        # (queue pair and dispatcher never move)
+                        if reliability is not None:
+                            # a remap re-homed this SSD after grouping:
+                            # re-drive it per-request on its new owner
+                            # instead of charging the wrong reactor
+                            env.process(redrive(orig_index))
+                            walked += 1
+                            peeled += 1
+                            continue
+                        # fail-fast: keep draining on the original
+                        # reactor (queue pair and dispatcher never move)
                     span = None
                     if tracing:
                         span = tracer.begin(
@@ -484,6 +630,7 @@ class SpdkDriver:
                         )
                     yield Timeout(env, per_request_cpu)
                     reactor.busy_seconds += per_request_cpu
+                    reactor.last_progress = env._now
                     if tracing:
                         # per-request spans keep the fig03/fig13
                         # breakdowns intact; the bulk accounting below
@@ -508,334 +655,32 @@ class SpdkDriver:
                     group = groups.get(ssd_index)
                     if group is None:
                         group = handle.dispatcher.open_group()
+                        group.sink = sink
                         groups[ssd_index] = group
                     handle.dispatcher.expect(group, sqe.command_id)
                     owners[sqe.command_id] = orig_index
-                    # ring bypass: the SQ consumer would spawn the
-                    # handler at this same instant anyway; hand the SQE
-                    # to the device directly and skip the ring hop
-                    ssds[ssd_index].submit_direct(handle.queue_pair, sqe)
-                    submitted += 1
-        finally:
-            if granted:
-                reactor._serial.release(slot)
-            elif not slot.triggered:
-                slot.cancel()
-        reactor.requests.add(submitted)
-        if not tracing and submitted:
-            reactor.account_batch(
-                submitted, poll_iterations=poll_iterations
-            )
-        metrics = env.metrics
-        if metrics.enabled and submitted:
-            metrics.coalesced_group(reactor.reactor_id, submitted)
-
-        results = []
-        for ssd_index, group in groups.items():
-            handles[ssd_index].dispatcher.seal(group)
-        for group in groups.values():
-            cqes = yield group.event
-            for command_id, cqe in cqes.items():
-                results.append((owners[command_id], cqe))
-        for orig_index, ssd_index, local_lba, payload in items[submitted:]:
-            results.append((
-                orig_index,
-                ReactorOfflineError(
-                    f"reactor {reactor.reactor_id} crashed before "
-                    f"submitting ssd {ssd_index} lba {local_lba}",
-                    reactor_id=reactor.reactor_id,
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                ),
-            ))
-        self.requests_done.add(submitted)
-        self.bytes_done.add(submitted * granularity)
-        results.sort(key=lambda pair: pair[0])
-        return results
-
-    def io_batch_reliable(
-        self,
-        items,
-        granularity: int,
-        is_write: bool = False,
-        target=None,
-        parent_span=None,
-    ) -> Generator:
-        """Process: coalesced submission with per-request reliability.
-
-        Same submission shape as :meth:`io_batch` — one serial hold for
-        the group, per-item CPU charge, SQ/CQ ring bypass — but each
-        completion flows through a :class:`CompletionGroup` *sink*
-        instead of the group event: successful CQEs settle at coalesced
-        speed, failed CQEs are peeled off and re-driven through
-        :meth:`Reliability.run` (the failed CQE counts as attempt 1, so
-        retry/backoff/breaker accounting matches the fan-out path
-        exactly), and every in-flight item carries the same watchdog
-        deadline the fan-out path would arm.  If the owning reactor
-        crashes mid-group, unsubmitted items fall back to the full
-        per-request path, which waits out a failover.
-
-        Returns a list of ``(orig_index, outcome)`` sorted by
-        ``orig_index`` — each outcome a CQE (ok, or the final failure
-        after the retry budget) or a typed
-        :class:`~repro.errors.DeviceError` (watchdog timeouts, offline
-        devices, an unrescued reactor crash).
-        """
-        reliability = self.reliability
-        if reliability is None:
-            raise ConfigurationError(
-                "io_batch_reliable needs a reliability bundle; "
-                "use io_batch"
-            )
-        if not items:
-            return []
-        env = self.env
-        block_size = self.platform.config.ssd.block_size
-        num_blocks = max(1, -(-granularity // block_size))
-        poll_iterations = self._poll_iterations(is_write)
-        opcode = NVMeOpcode.WRITE if is_write else NVMeOpcode.READ
-        handles = self._handles
-        ssds = self.platform.ssds
-        reactor = handles[items[0][1]].reactor
-        tracer = env.tracer
-        tracing = tracer.enabled
-        per_request_cpu = self.config.per_request_cpu
-        watchdog = reliability.watchdog
-        injector = self.platform.fault_injector
-
-        by_index = {item[0]: item for item in items}
-        outcomes = {}  # orig_index -> CQE | DeviceError
-        #: orig_indexes whose first CQE arrived (disarms the watchdog;
-        #: retries arm their own guards inside _attempt)
-        first_done = set()
-        all_done = env.event()
-        state = {"remaining": len(items)}
-
-        def settle(orig_index, outcome):
-            if orig_index in outcomes:
-                # invariant: a request terminates exactly once
-                self.duplicate_completions += 1
-                return
-            outcomes[orig_index] = outcome
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                all_done.succeed()
-
-        def make_attempt(orig_index, ssd_index, local_lba, payload):
-            def attempt():
-                # re-fetch the handle: after a failover the SSD may
-                # have been re-homed onto a surviving reactor
-                return self._attempt(
-                    self._handles[ssd_index], ssd_index, local_lba,
-                    num_blocks, granularity, is_write, payload, target,
-                    orig_index * granularity, parent_span,
-                )
-            return attempt
-
-        metrics = env.metrics
-
-        def link_redrive(ssd_index, local_lba):
-            # flow-link the redrive back to the originating request so
-            # cam-trace can attribute retry latency to its trace_id
-            if tracing and parent_span is not None:
-                tracer.instant(
-                    "redrive_link",
-                    parent=parent_span,
-                    ssd=ssd_index,
-                    lba=local_lba,
-                    trace_id=parent_span.tags.get("trace_id"),
-                    links=parent_span.tags.get("links"),
-                )
-
-        def redrive(orig_index, ssd_index, local_lba, payload):
-            """Process: the full per-request reliable path for one item
-            (used for items that never reached the wire)."""
-            if metrics.enabled:
-                metrics.redrive()
-            link_redrive(ssd_index, local_lba)
-            try:
-                cqe = yield from reliability.run(
-                    make_attempt(orig_index, ssd_index, local_lba, payload),
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                    is_write=is_write,
-                    parent_span=parent_span,
-                )
-            except DeviceTimeoutError as error:
-                reliability.health.mark_offline(ssd_index)
-                settle(orig_index, error)
-                return
-            except DeviceError as error:
-                settle(orig_index, error)
-                return
-            settle(orig_index, cqe)
-
-        def redrive_failed(hop, orig_index, ssd_index, local_lba, payload,
-                           first_cqe):
-            """Process: re-drive one failed command through the retry loop.
-
-            The fan-out path delivers a failed CQE to its request process
-            across three same-instant event hops — the CQ-ring wake, the
-            per-command waiter event, and the watchdog's AnyOf condition.
-            The sink absorbs the CQE with zero hops, so this process
-            replays them before entering :meth:`Reliability.run`; the
-            retry's backoff timer is then created at exactly the position
-            in the event order where the fan-out path would create it,
-            keeping same-instant tie-breaks on shared stages bit-identical.
-            """
-            if metrics.enabled:
-                metrics.redrive()
-            link_redrive(ssd_index, local_lba)
-            yield hop                # CQ-ring -> dispatcher wake
-            yield env.timeout(0.0)   # per-command waiter event
-            yield env.timeout(0.0)   # watchdog AnyOf condition
-            try:
-                cqe = yield from reliability.run(
-                    make_attempt(orig_index, ssd_index, local_lba, payload),
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                    is_write=is_write,
-                    parent_span=parent_span,
-                    first_cqe=first_cqe,
-                )
-            except DeviceTimeoutError as error:
-                reliability.health.mark_offline(ssd_index)
-                settle(orig_index, error)
-                return
-            except DeviceError as error:
-                settle(orig_index, error)
-                return
-            settle(orig_index, cqe)
-
-        def make_sink(ssd_index):
-            def sink(cqe):
-                orig_index = owners[cqe.command_id]
-                if orig_index in outcomes:
-                    return  # watchdog already settled it
-                first_done.add(orig_index)
-                if cqe.ok:
-                    # mirror Reliability.run's first-attempt success
-                    cqe.attempts = 1
-                    reliability.health.record_success(ssd_index)
-                    settle(orig_index, cqe)
-                    return
-                item = by_index[orig_index]
-                hop = env.timeout(0.0)
-                env.process(
-                    redrive_failed(
-                        hop, orig_index, ssd_index, item[2], item[3], cqe
-                    )
-                )
-            return sink
-
-        def arm_watchdog(orig_index, ssd_index, local_lba):
-            # same deadline the fan-out guard would race the CQE against
-            deadline = watchdog.deadline(granularity)
-            timer = env.timeout(deadline)
-
-            def expire(_event):
-                if orig_index in first_done or orig_index in outcomes:
-                    return
-                watchdog.timeouts_fired += 1
-                error = watchdog.classify(
-                    ssd_ids=(ssd_index,),
-                    fault_injector=injector,
-                    deadline=deadline,
-                    description=f"spdk ssd {ssd_index} lba {local_lba}",
-                )
-                if tracer.enabled:
-                    tracer.instant(
-                        "watchdog_timeout",
-                        parent=parent_span,
-                        deadline=deadline,
-                        offline=isinstance(error, DeviceOfflineError),
-                    )
-                reliability.health.mark_offline(ssd_index)
-                first_done.add(orig_index)
-                settle(orig_index, error)
-
-            timer.callbacks.append(expire)
-
-        groups = {}  # ssd_index -> CompletionGroup
-        owners = {}  # command_id -> orig_index
-        submitted = 0
-        slot = reactor._serial.request()
-        granted = False
-        try:
-            try:
-                yield slot
-                granted = True
-            except ReactorOfflineError:
-                pass  # whole group re-drives below
-            if granted:
-                last = len(items) - 1
-                for pos, (orig_index, ssd_index, local_lba, payload) in (
-                    enumerate(items)
-                ):
-                    if reactor.crashed:
-                        break
-                    handle = handles[ssd_index]
-                    if handle.reactor is not reactor:
-                        # a failover re-homed this SSD between grouping
-                        # and submission: peel it off to the per-request
-                        # path instead of charging the wrong reactor
-                        env.process(
-                            redrive(orig_index, ssd_index, local_lba, payload)
-                        )
-                        submitted += 1
+                    walked += 1
+                    if reliability is None:
+                        # ring bypass: the SQ consumer would spawn the
+                        # handler at this same instant anyway; hand the
+                        # SQE to the device directly and skip the ring hop
+                        ssds[ssd_index].submit_direct(handle.queue_pair, sqe)
                         continue
-                    span = None
-                    if tracing:
-                        span = tracer.begin(
-                            "submit",
-                            parent=parent_span,
-                            reactor=reactor.reactor_id,
-                        )
-                    yield Timeout(env, per_request_cpu)
-                    reactor.busy_seconds += per_request_cpu
-                    reactor.last_progress = env.now
-                    if tracing:
-                        cost = reactor.account_request(
-                            poll_iterations=poll_iterations
-                        )
-                        span.tags["ssd"] = ssd_index
-                        span.tags["is_write"] = is_write
-                        span.tags.update(cost)
-                        tracer.end(span)
                     # Fan-out order inside this instant: the finishing
                     # charge releases the reactor serial (granting the
                     # next waiter) *before* the SQE goes on the wire and
                     # the guard is armed, and the next request's CPU
                     # timer is only created when that grant event pops.
                     # Replay it: schedule the grant-analog hop first,
-                    # submit, then let the hop pop before the next item's
-                    # timer exists.  Retries run the real fan-out code,
-                    # so same-instant tie-breaks between first attempts
-                    # and retries resolve identically on both paths.
-                    hop = env.timeout(0.0) if pos != last else None
-                    sqe = SQE(
-                        opcode=opcode,
-                        lba=local_lba,
-                        num_blocks=num_blocks,
-                        payload=payload,
-                        target=target,
-                        target_offset=orig_index * granularity,
-                        trace_span=parent_span,
-                    )
-                    group = groups.get(ssd_index)
-                    if group is None:
-                        group = handle.dispatcher.open_group()
-                        group.sink = make_sink(ssd_index)
-                        groups[ssd_index] = group
-                    handle.dispatcher.expect(group, sqe.command_id)
-                    owners[sqe.command_id] = orig_index
-                    # through the SQ ring (not submit_direct): retries
-                    # share these rings, and the device-side hop
-                    # structure must match theirs for tie-break parity
+                    # submit through the SQ ring (retries share these
+                    # rings, so the device-side hops must match theirs),
+                    # then let the hop pop before the next item's timer
+                    # exists.  Dropping either hop changes same-instant
+                    # tie-breaks between first attempts and retries.
+                    hop = env.timeout(0.0) if walked != count else None
                     yield handle.queue_pair.submit(sqe)
                     if watchdog is not None:
                         arm_watchdog(orig_index, ssd_index, local_lba)
-                    submitted += 1
                     if hop is not None:
                         yield hop
         finally:
@@ -843,30 +688,52 @@ class SpdkDriver:
                 reactor._serial.release(slot)
             elif not slot.triggered:
                 slot.cancel()
-        # reactor accounting covers only wire-submitted items (len(owners));
-        # peeled/leftover items charge their own reactor inside _attempt
-        reactor.requests.add(len(owners))
-        if not tracing and len(owners):
+        # reactor accounting covers only items that reached the wire;
+        # re-driven items charge their own reactor inside _attempt
+        submitted = walked - peeled
+        reactor.requests.add(submitted)
+        if not tracing and submitted:
             reactor.account_batch(
-                len(owners), poll_iterations=poll_iterations
+                submitted, poll_iterations=poll_iterations
             )
-        if metrics.enabled and owners:
-            metrics.coalesced_group(reactor.reactor_id, len(owners))
+        if metrics.enabled and submitted:
+            metrics.coalesced_group(reactor.reactor_id, submitted)
         for ssd_index, group in groups.items():
             handles[ssd_index].dispatcher.seal(group)
-        # unsubmitted leftovers ride the full per-request reliable path
-        # (charge waits out a failover, every attempt gets its own guard)
-        for orig_index, ssd_index, local_lba, payload in items[submitted:]:
-            env.process(
-                redrive(orig_index, ssd_index, local_lba, payload)
+        leftovers = items[walked:]
+        if reliability is None:
+            # no per-CQE sink call on the fail-fast path: each SSD's
+            # group event hands over all of its CQEs at once
+            results = []
+            for group in groups.values():
+                cqes = yield group.event
+                for command_id, cqe in cqes.items():
+                    results.append((owners[command_id], cqe))
+            for orig_index, ssd_index, local_lba, _ in leftovers:
+                results.append((
+                    orig_index,
+                    ReactorOfflineError(
+                        f"reactor {reactor.reactor_id} crashed before "
+                        f"submitting ssd {ssd_index} lba {local_lba}",
+                        reactor_id=reactor.reactor_id,
+                        ssd_id=ssd_index,
+                        lba=local_lba,
+                    ),
+                ))
+            results.sort()  # orig_index is unique: outcomes never compare
+            completed = submitted
+        else:
+            # unsubmitted leftovers ride the full per-request reliable
+            # path (charge waits out a failover, every attempt is guarded)
+            for item in leftovers:
+                env.process(redrive(item[0]))
+            if remaining:
+                yield all_done
+            results = sorted(outcomes.items())
+            completed = sum(
+                1 for _, outcome in results
+                if not isinstance(outcome, DeviceError)
             )
-        if state["remaining"]:
-            yield all_done
-        results = sorted(outcomes.items())
-        completed = sum(
-            1 for _, outcome in results
-            if not isinstance(outcome, DeviceError)
-        )
         self.requests_done.add(completed)
         self.bytes_done.add(completed * granularity)
         return results

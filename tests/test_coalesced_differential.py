@@ -126,20 +126,6 @@ def test_coalesced_processes_fewer_events():
 
 # -- io_batch API edges ----------------------------------------------------
 
-def test_io_batch_rejects_reliability():
-    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
-    from repro.spdk.driver import SpdkDriver
-
-    class _FakeReliability:
-        watchdog = None
-        health = None
-
-    driver = SpdkDriver(platform, reliability=_FakeReliability())
-    with pytest.raises(ConfigurationError):
-        # generator raises on first advance
-        next(driver.io_batch([(0, 0, 0, None)], 4096))
-
-
 def test_io_batch_rejects_mixed_reactors():
     platform = Platform(PlatformConfig(num_ssds=4), functional=False)
     from repro.spdk.driver import SpdkDriver

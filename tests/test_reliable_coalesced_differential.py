@@ -2,7 +2,7 @@
 
 ISSUE 4's tentpole claim is that attaching the reliability bundle no
 longer downgrades the manager to per-request fan-out: the coalesced path
-(:meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`) peels failed
+(:meth:`~repro.spdk.driver.SpdkDriver.io_batch`) peels failed
 commands off the completion group and re-drives them through the same
 :meth:`~repro.reliability.Reliability.run` loop the fan-out path uses.
 Every simulated quantity — batch outcomes, per-request device latencies
@@ -13,12 +13,10 @@ differ: coalescing exists to shrink them.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import PlatformConfig
 from repro.core.control import BatchRequest, CamManager
 from repro.errors import (
-    ConfigurationError,
     DeviceError,
     DeviceOfflineError,
     DeviceTimeoutError,
@@ -198,31 +196,22 @@ def test_manager_keeps_coalesce_with_reliability():
     assert manager.coalesce is True
 
 
-def test_driver_routes_reliable_batches_through_io_batch_reliable():
+def test_driver_routes_reliable_batches_through_io_batch():
     platform = Platform(PlatformConfig(num_ssds=2), functional=False)
     reliability = Reliability(platform)
     manager = CamManager(platform, reliability=reliability, coalesce=True)
     calls = []
-    original = manager.driver.io_batch_reliable
+    original = manager.driver.io_batch
 
     def spy(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    manager.driver.io_batch_reliable = spy
+    manager.driver.io_batch = spy
     lbas = np.arange(32, dtype=np.int64) * 8
     platform.env.run(
         manager.ring(
             BatchRequest(lbas=lbas, granularity=4096, is_write=False)
         )
     )
-    assert calls, "coalesced reliable batches must use io_batch_reliable"
-
-
-def test_io_batch_reliable_requires_bundle():
-    from repro.spdk.driver import SpdkDriver
-
-    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
-    driver = SpdkDriver(platform)
-    with pytest.raises(ConfigurationError):
-        next(driver.io_batch_reliable([(0, 0, 0, None)], 4096))
+    assert calls, "coalesced reliable batches must use io_batch"
