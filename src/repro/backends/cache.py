@@ -17,11 +17,11 @@ never observe stale data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.backends.base import StorageBackend
+from repro.cache.residency import Residency, miss_window, page_span
 from repro.errors import ConfigurationError
 from repro.sim.stats import Counter
 
@@ -69,8 +69,7 @@ class CachedBackend(StorageBackend):
         self.capacity_pages = capacity_bytes // page_bytes
         self.page_bytes = page_bytes
         self.to_gpu = to_gpu
-        #: page id -> None (OrderedDict as LRU: end = most recent)
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        self._lru = Residency(self.capacity_pages)
         self.hits = Counter(self.env)
         self.misses = Counter(self.env)
         self.evictions = Counter(self.env)
@@ -82,23 +81,6 @@ class CachedBackend(StorageBackend):
     @property
     def name(self) -> str:
         return f"{self.inner.name}+cache"
-
-    def _pages_of(self, lba: int, nbytes: int):
-        block = self.platform.config.ssd.block_size
-        start = lba * block
-        first = start // self.page_bytes
-        last = (start + max(1, nbytes) - 1) // self.page_bytes
-        return range(first, last + 1)
-
-    def _touch(self, page: int) -> None:
-        self._lru[page] = None
-        self._lru.move_to_end(page)
-        while len(self._lru) > self.capacity_pages:
-            self._lru.popitem(last=False)
-            self.evictions.add()
-
-    def _cached(self, page: int) -> bool:
-        return page in self._lru
 
     def _publish(self) -> None:
         """Mirror the cache counters into the live metrics registry.
@@ -120,13 +102,10 @@ class CachedBackend(StorageBackend):
                 ("cam_cache_hit_rate", "gauge",
                  "host-cache hits / lookups so far"),
             )
-            children = []
-            for name, kind, help_text in specs:
-                family = registry.get(name)
-                if family is None:
-                    family = registry.register(name, kind, help=help_text)
-                children.append(family.child())
-            self._instruments = (registry, *children)
+            self._instruments = (registry, *(
+                registry.ensure(name, kind, help=text).child()
+                for name, kind, text in specs
+            ))
         _, hits, misses, hit_rate = self._instruments
         hits.set_total(self.hits.total)
         misses.set_total(self.misses.total)
@@ -142,7 +121,8 @@ class CachedBackend(StorageBackend):
         target_offset: int = 0,
         ssd_index: Optional[int] = None,
     ) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
+        block = self.platform.config.ssd.block_size
+        pages = page_span(lba, nbytes, block, self.page_bytes)
         if is_write:
             # write-through: device write, cached copies refreshed
             cqe = yield from self.inner.io(
@@ -151,17 +131,17 @@ class CachedBackend(StorageBackend):
                 ssd_index=ssd_index,
             )
             for page in pages:
-                if self._cached(page):
-                    self._touch(page)
+                if page in self._lru:
+                    self._lru.refresh(page)
             self._publish()
             return cqe
 
-        missing = [page for page in pages if not self._cached(page)]
+        missing = [page for page in pages if page not in self._lru]
         if not missing:
             self.hits.add(len(pages))
             self._publish()
             for page in pages:
-                self._touch(page)
+                self._lru.refresh(page)
             # served from DRAM: one bus crossing (+ copy to GPU)
             yield from self.platform.dram.access(nbytes)
             if self.to_gpu:
@@ -178,18 +158,12 @@ class CachedBackend(StorageBackend):
         self.hits.add(len(pages) - len(missing))
         self.misses.add(len(missing))
         self._publish()
-        block = self.platform.config.ssd.block_size
-        start_byte = lba * block
-        end_byte = start_byte + nbytes
-        span_start = max(start_byte, missing[0] * self.page_bytes)
-        span_lba = span_start // block
-        span_start = span_lba * block
-        span_end = min(end_byte, (missing[-1] + 1) * self.page_bytes)
-        span_nbytes = span_end - span_start
+        span_lba, span_offset, span_nbytes = miss_window(
+            lba, nbytes, block, self.page_bytes, missing[0], missing[-1]
+        )
         cqe = yield from self.inner.io(
             span_lba, span_nbytes, is_write=False, payload=payload,
-            target=target,
-            target_offset=target_offset + (span_start - start_byte),
+            target=target, target_offset=target_offset + span_offset,
             ssd_index=ssd_index,
         )
         # admission costs one DRAM crossing for the staged copy
@@ -201,7 +175,9 @@ class CachedBackend(StorageBackend):
             if self.to_gpu:
                 yield from self.platform.gpu.memcpy(hit_bytes)
         for page in pages:
-            self._touch(page)
+            evicted = self._lru.touch(page)
+            if evicted:
+                self.evictions.add(len(evicted))
         return cqe
 
     def hit_rate(self) -> float:

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cache.policy import LruLines, make_line_policy
 from repro.cache.readahead import ReadaheadConfig, ReadaheadStream
+from repro.cache.residency import Residency, miss_window, page_span
 from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
 
@@ -89,15 +89,14 @@ class CachePlan:
 
 
 class GpuCache:
-    """Fixed-size cache lines in GPU DRAM with pluggable replacement
-    and a per-consumer readahead prefetcher."""
+    """Fixed-size cache lines in GPU DRAM with LRU replacement and a
+    per-consumer readahead prefetcher."""
 
     def __init__(
         self,
         platform: Platform,
         capacity_bytes: int,
         line_bytes: int = 4096,
-        policy: Union[str, LruLines, None] = None,
         readahead: Union[bool, ReadaheadConfig, None] = True,
     ):
         block = platform.config.ssd.block_size
@@ -114,9 +113,7 @@ class GpuCache:
         self.capacity_lines = capacity_bytes // line_bytes
         self._block = block
         self._lbas_per_line = line_bytes // block
-        if isinstance(policy, str):
-            policy = make_line_policy(policy)
-        self.lines = policy if policy is not None else LruLines()
+        self.lines = Residency(self.capacity_lines)
         if readahead is True:
             readahead = ReadaheadConfig()
         elif readahead is False:
@@ -148,12 +145,6 @@ class GpuCache:
     def line_lba(self, line: int) -> int:
         """The LBA a fetch of ``line`` starts at."""
         return line * self._lbas_per_line
-
-    def _span_lines(self, lba: int, nbytes: int) -> range:
-        start = lba * self._block
-        first = start // self.line_bytes
-        last = (start + max(1, nbytes) - 1) // self.line_bytes
-        return range(first, last + 1)
 
     # -- introspection --------------------------------------------------
     @property
@@ -197,7 +188,7 @@ class GpuCache:
     def _demand_line(self, line: int, plan: CachePlan) -> bool:
         """Route one demand line into the plan; True on a hit."""
         if line in self.lines:
-            self.lines.touch(line)
+            self.lines.refresh(line)
             owner = self._speculative.pop(line, None)
             if owner is not None:
                 self.readahead_used += 1
@@ -258,7 +249,8 @@ class GpuCache:
         )
         predictions: List[int] = []
         for lba in lbas:
-            span = self._span_lines(lba, granularity)
+            span = page_span(lba, granularity, self._block,
+                             self.line_bytes)
             if len(span) != 1:
                 raise ConfigurationError(
                     f"batch item at lba {lba} crosses a cache-line "
@@ -300,40 +292,29 @@ class GpuCache:
             self.stream(consumer) if self.readahead_config else None
         )
         predictions: List[int] = []
-        for line in self._span_lines(lba, nbytes):
+        for line in page_span(lba, nbytes, self._block, self.line_bytes):
             self._demand_line(line, plan)
             if detector is not None:
                 predictions.extend(detector.observe(line))
         if detector is not None and predictions:
             self._speculate(plan, predictions, detector)
-        start_byte = lba * self._block
-        end_byte = start_byte + nbytes
         if plan.missing_lines:
-            span_start = max(
-                start_byte, plan.missing_lines[0] * self.line_bytes
+            window = miss_window(
+                lba, nbytes, self._block, self.line_bytes,
+                plan.missing_lines[0], plan.missing_lines[-1],
             )
-            span_end = min(
-                end_byte, (plan.missing_lines[-1] + 1) * self.line_bytes
-            )
-            plan.fetch_lba = span_start // self._block
-            plan.fetch_nbytes = span_end - span_start
-            plan.fetch_offset_bytes = span_start - start_byte
+            plan.fetch_lba, plan.fetch_offset_bytes, plan.fetch_nbytes = window
         plan.hit_bytes = nbytes - plan.fetch_nbytes
         self._publish()
         return plan
 
     # -- commitment -----------------------------------------------------
     def _admit(self, line: int, stream=None) -> None:
-        already = line in self.lines
-        self.lines.admit(line)
-        if stream is not None and not already:
-            self._speculative[line] = stream
-        elif stream is None:
+        if stream is None:
             self._speculative.pop(line, None)
-        while len(self.lines) > self.capacity_lines:
-            victim = self.lines.evict()
-            if victim is None:
-                break
+        elif line not in self.lines:
+            self._speculative[line] = stream
+        for victim in self.lines.touch(line):
             if self._speculative.pop(victim, None) is not None:
                 self.readahead_wasted += 1
             self.evictions += 1
@@ -394,7 +375,8 @@ class GpuCache:
         granularity = self.line_bytes if granularity is None else granularity
         for lba in lbas:
             start = lba * self._block
-            for line in self._span_lines(lba, granularity):
+            for line in page_span(lba, granularity, self._block,
+                                  self.line_bytes):
                 line_start = line * self.line_bytes
                 covered = (
                     start <= line_start
@@ -404,7 +386,7 @@ class GpuCache:
                     self._admit(line)
                     self.fills += 1
                 elif line in self.lines:
-                    self.lines.touch(line)
+                    self.lines.refresh(line)
         self._publish()
 
     # -- telemetry ------------------------------------------------------
@@ -458,13 +440,10 @@ class GpuCache:
                 ("cam_gpucache_throttled_streams", "gauge",
                  "consumer streams currently in readahead cooldown"),
             )
-            children = []
-            for name, kind, help_text in specs:
-                family = registry.get(name)
-                if family is None:
-                    family = registry.register(name, kind, help=help_text)
-                children.append(family.child())
-            self._instruments = (registry, *children)
+            self._instruments = (registry, *(
+                registry.ensure(name, kind, help=text).child()
+                for name, kind, text in specs
+            ))
         (_, hits, misses, hit_rate, evictions, resident, ra_issued,
          ra_used, ra_wasted, ra_accuracy, throttled) = self._instruments
         hits.set_total(self.hits)
@@ -485,6 +464,6 @@ class GpuCache:
         )
         return (
             f"<GpuCache {self.resident_lines}/{self.capacity_lines} x "
-            f"{self.line_bytes}B lines, policy={self.lines.name}, "
+            f"{self.line_bytes}B lines, "
             f"readahead={readahead}, hit_rate={self.hit_rate():.2f}>"
         )

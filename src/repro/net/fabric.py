@@ -427,15 +427,11 @@ class FabricLink:
                 ("cam_net_link_down", "gauge",
                  "1 while the link observes itself partitioned"),
             )
-            children = []
-            for name, kind, help_text in specs:
-                family = registry.get(name)
-                if family is None:
-                    family = registry.register(
-                        name, kind, help=help_text, labels=("link",)
-                    )
-                children.append(family.labels(self.link_id))
-            self._instruments = (registry, *children)
+            self._instruments = (registry, *(
+                registry.ensure(name, kind, help=text, labels=("link",))
+                .labels(self.link_id)
+                for name, kind, text in specs
+            ))
         _, transfers, nbytes, retrans, drops, down = self._instruments
         transfers.set_total(self.transfers.total)
         nbytes.set_total(self.wire.bytes_moved.total)

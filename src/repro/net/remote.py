@@ -429,13 +429,10 @@ class RemoteFlashBackend(StorageBackend):
                 ("cam_net_breaker_rejections_total", "counter",
                  "operations refused because no node was eligible"),
             )
-            children = []
-            for name, kind, help_text in specs:
-                family = registry.get(name)
-                if family is None:
-                    family = registry.register(name, kind, help=help_text)
-                children.append(family.child())
-            self._instruments = (registry, *children)
+            self._instruments = (registry, *(
+                registry.ensure(name, kind, help=text).child()
+                for name, kind, text in specs
+            ))
         (_, reads, writes, hedged, wins, timeouts, degraded,
          rejections) = self._instruments
         reads.set_total(self.remote_reads.total)

@@ -16,7 +16,9 @@ the remote backend) the tier downgrades to **local-only degraded mode**:
   :class:`~repro.errors.RemoteUnavailableError` (never a hang);
 * writes are accepted locally and queued in the dirty log;
 * dirty pages are pinned — the LRU never evicts a page the remote tier
-  has not acked, preferring cache overflow to data loss.
+  has not acked, preferring cache overflow to data loss
+  (``stats()["overflow_admissions"]`` counts each admission that ran
+  over capacity).
 
 Heal detection is lazy and rate-limited: at most once per
 ``probe_interval`` a degraded operation pings the fabric
@@ -37,6 +39,7 @@ from collections import OrderedDict
 from typing import Generator, Optional
 
 from repro.backends.base import StorageBackend
+from repro.cache.residency import Residency, miss_window, page_span
 from repro.errors import (
     ConfigurationError,
     NetworkError,
@@ -67,7 +70,7 @@ class TieredBackend(StorageBackend):
         self.local = local
         self.remote = remote
         self.model_name = local.model_name
-        block = self.platform.config.ssd.block_size
+        self._block = block = self.platform.config.ssd.block_size
         self.page_bytes = page_blocks * block
         self.page_blocks = page_blocks
         if capacity_bytes < self.page_bytes:
@@ -86,8 +89,6 @@ class TieredBackend(StorageBackend):
         if probe_interval <= 0:
             raise ConfigurationError("probe_interval must be positive")
         self.probe_interval = probe_interval
-        #: page id -> None (OrderedDict as LRU: end = most recent)
-        self._resident: "OrderedDict[int, None]" = OrderedDict()
         #: page -> write generation for pages the remote tier has not
         #: acked yet (insertion = age order, which is the resync drain
         #: order); pinned in the LRU.  The generation lets a flush
@@ -95,6 +96,7 @@ class TieredBackend(StorageBackend):
         #: remote ack was in flight — popping the flag then would lose
         #: the newer write.
         self._dirty: "OrderedDict[int, int]" = OrderedDict()
+        self._resident = Residency(self.capacity_pages, pinned=self._dirty)
         self._write_gen = 0
         self.degraded = False
         self._last_probe = -float("inf")
@@ -127,29 +129,17 @@ class TieredBackend(StorageBackend):
         return f"{self.local.name}+remote-tier"
 
     # -- page bookkeeping ------------------------------------------------
-    def _pages_of(self, lba: int, nbytes: int):
-        block = self.platform.config.ssd.block_size
-        start = lba * block
-        first = start // self.page_bytes
-        last = (start + max(1, nbytes) - 1) // self.page_bytes
-        return range(first, last + 1)
-
     def _page_lba(self, page: int) -> int:
         return page * self.page_blocks
 
-    def _touch(self, page: int) -> None:
-        self._resident[page] = None
-        self._resident.move_to_end(page)
-        while len(self._resident) > self.capacity_pages:
-            victim = next(
-                (p for p in self._resident if p not in self._dirty), None
-            )
-            if victim is None:
-                # every resident page is dirty: overflow the capacity
-                # rather than dropping unflushed data
-                break
-            del self._resident[victim]
-            self.evictions.add()
+    def _touch(self, pages) -> None:
+        """Admit ``pages`` as most recently used.  Dirty pages are
+        pinned, so when every resident page is dirty the tier runs over
+        capacity rather than dropping unflushed data."""
+        for page in pages:
+            evicted = self._resident.touch(page)
+            if evicted:
+                self.evictions.add(len(evicted))
 
     def dirty_pages(self) -> int:
         return len(self._dirty)
@@ -347,7 +337,7 @@ class TieredBackend(StorageBackend):
             span_lba, span_nbytes, target=target,
             target_offset=target_offset, trace_ctx=trace_ctx,
         )
-        block = self.platform.config.ssd.block_size
+        block = self._block
         span_start = span_lba * block
         span_end = span_start + span_nbytes
         value = getattr(cqe, "value", None)
@@ -395,15 +385,14 @@ class TieredBackend(StorageBackend):
 
     def _read(self, lba, nbytes, target, target_offset,
               trace_ctx=None) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
+        pages = page_span(lba, nbytes, self._block, self.page_bytes)
         missing = [page for page in pages if page not in self._resident]
         if not missing:
             self.hits.add(len(pages))
             cqe = yield from self.local.io(
                 lba, nbytes, target=target, target_offset=target_offset
             )
-            for page in pages:
-                self._touch(page)
+            self._touch(pages)
             self._publish()
             return cqe
 
@@ -434,26 +423,26 @@ class TieredBackend(StorageBackend):
                     lba, nbytes, target=target,
                     target_offset=target_offset,
                 )
-                for page in pages:
-                    self._touch(page)
+                self._touch(pages)
                 self._publish()
                 return cqe
             self.hits.add(len(pages) - len(missing))
             self.misses.add(len(missing))
             # fetch the contiguous window covering the missing pages,
-            # clipped to the request (CachedBackend's span rule)
-            block = self.platform.config.ssd.block_size
+            # clipped to the request
+            block = self._block
+            span_lba, span_offset, span_nbytes = miss_window(
+                lba, nbytes, block, self.page_bytes, missing[0],
+                missing[-1],
+            )
             start_byte = lba * block
             end_byte = start_byte + nbytes
-            span_start = max(start_byte, missing[0] * self.page_bytes)
-            span_lba = span_start // block
-            span_start = span_lba * block
-            span_end = min(end_byte, (missing[-1] + 1) * self.page_bytes)
+            span_start = start_byte + span_offset
+            span_end = span_start + span_nbytes
             try:
                 cqe = yield from self._fetch_span(
-                    missing, span_lba, span_end - span_start, target,
-                    target_offset + (span_start - start_byte),
-                    trace_ctx=trace_ctx,
+                    missing, span_lba, span_nbytes, target,
+                    target_offset + span_offset, trace_ctx=trace_ctx,
                 )
             except NetworkError as error:
                 self._enter_degraded(error)
@@ -487,8 +476,7 @@ class TieredBackend(StorageBackend):
                         target_offset=(target_offset
                                        + (page_start - start_byte)),
                     )
-            for page in pages:
-                self._touch(page)
+            self._touch(pages)
         finally:
             self._release(held)
         self._publish()
@@ -496,9 +484,8 @@ class TieredBackend(StorageBackend):
 
     def _write(self, lba, nbytes, payload, target, target_offset,
                trace_ctx=None) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
-        block = self.platform.config.ssd.block_size
-        start_byte = lba * block
+        pages = page_span(lba, nbytes, self._block, self.page_bytes)
+        start_byte = lba * self._block
         end_byte = start_byte + nbytes
         # partially-covered edge pages may need a write-allocate fetch,
         # so they take the exclusive mode; fully-covered pages only
@@ -527,7 +514,7 @@ class TieredBackend(StorageBackend):
                     except NetworkError as error:
                         self._enter_degraded(error)
                         break
-                    self._touch(page)
+                    self._touch((page,))
 
             cqe = yield from self.local.io(
                 lba, nbytes, is_write=True, payload=payload,
@@ -535,8 +522,10 @@ class TieredBackend(StorageBackend):
             )
             self._write_gen += 1
             for page in pages:
+                # marked before the touch: a page being written is
+                # never its own write's eviction victim
                 self._dirty[page] = self._write_gen
-                self._touch(page)
+                self._touch((page,))
         finally:
             self._release(pages, shared=covered)
         if self.degraded:
@@ -567,6 +556,7 @@ class TieredBackend(StorageBackend):
             "misses": self.misses.total,
             "hit_rate": self.hit_rate(),
             "evictions": self.evictions.total,
+            "overflow_admissions": self._resident.overflows,
             "degraded": self.degraded,
             "degraded_misses": self.degraded_misses.total,
             "queued_writes": self.queued_writes.total,
@@ -601,13 +591,10 @@ class TieredBackend(StorageBackend):
                 ("cam_net_tier_resyncs_total", "counter",
                  "post-heal dirty-log drains started"),
             )
-            children = []
-            for name, kind, help_text in specs:
-                family = registry.get(name)
-                if family is None:
-                    family = registry.register(name, kind, help=help_text)
-                children.append(family.child())
-            self._instruments = (registry, *children)
+            self._instruments = (registry, *(
+                registry.ensure(name, kind, help=text).child()
+                for name, kind, text in specs
+            ))
         (_, hits, misses, degraded, dirty, dmisses, queued, flushed,
          resyncs) = self._instruments
         hits.set_total(self.hits.total)

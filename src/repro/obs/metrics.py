@@ -333,6 +333,16 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Family]:
         return self._families.get(name)
 
+    def ensure(self, name: str, kind: str, help: str = "", unit: str = "",
+               labels: Sequence[str] = ()) -> Family:
+        """The family called ``name``, registered on first use (so every
+        component mirroring into a shared registry can ask for it)."""
+        family = self._families.get(name)
+        if family is None:
+            family = self.register(name, kind, help=help, unit=unit,
+                                   labels=labels)
+        return family
+
     def __contains__(self, name: str) -> bool:
         return name in self._families
 

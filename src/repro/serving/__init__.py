@@ -3,8 +3,9 @@
 The serving stack composes four pieces, each importable from here:
 
 * :class:`KvBlockStore` / :class:`KvLayout` — per-session, per-layer KV
-  blocks round-robin striped across the platform's SSDs, with pluggable
-  eviction (:class:`LruPolicy`, :class:`SlidingWindowPolicy`);
+  blocks round-robin striped across the platform's SSDs, resident under
+  the shared LRU residency core, with attention-pattern policies
+  (:class:`LruPolicy`, :class:`SlidingWindowPolicy`);
 * :class:`SessionPool` / :class:`SessionConfig` — seed-deterministic
   open-loop arrival model (think times, context/decode lengths);
 * :class:`ServingEngine` — the sim-process that serves every session

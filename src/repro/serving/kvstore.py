@@ -15,15 +15,17 @@ The :class:`KvBlockStore` owns three things:
   striping (:meth:`~repro.hw.platform.Platform.ssd_for_lba`) maps block
   ``i`` of the global allocation order to SSD ``i mod num_ssds``;
 * the **residency set**: which blocks currently sit in simulated
-  GPU/host memory (``capacity_blocks``).  Everything else lives only on
+  GPU/host memory (``capacity_blocks``), kept by the shared
+  :class:`~repro.cache.residency.Residency` core in LRU order with the
+  blocks of in-flight decodes pinned.  Everything else lives only on
   SSD and must be prefetched before a decode turn can use it;
-* the pluggable **eviction policy** deciding which resident blocks to
-  drop when a new block is admitted over capacity.  Two policies ship:
-  :class:`LruPolicy` (evict the least-recently-used block) and
-  :class:`SlidingWindowPolicy` (prefix-aware windowed attention: a
-  session only *needs* its prompt-prefix blocks plus the last ``window``
-  blocks per layer, so everything in between is both unneeded and the
-  preferred eviction victim).
+* the **attention pattern** (the policy): which blocks a decode turn
+  needs, and which blocks are dead.  Two policies ship:
+  :class:`LruPolicy` (full attention: every block is needed, plain LRU
+  eviction) and :class:`SlidingWindowPolicy` (prefix-aware windowed
+  attention: a session only *needs* its prompt-prefix blocks plus the
+  last ``window`` blocks per layer, so everything in between is dead
+  and the residency core evicts it first).
 
 Eviction never costs I/O here: new blocks are written back to SSD as
 they are produced (the engine's ``write_back`` path), so a resident
@@ -36,10 +38,10 @@ the event heap.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache.residency import Residency
 from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
 from repro.units import KiB
@@ -90,45 +92,24 @@ class KvLayout:
 
 
 class LruPolicy:
-    """Evict the least-recently-used resident block.
-
-    Every decode turn needs the session's *entire* context resident
-    (full attention), so :meth:`required` keeps all blocks.
-    """
+    """Full attention: a decode turn needs the session's *entire*
+    context resident, no block is ever dead, and the residency core
+    evicts the least-recently-used block."""
 
     name = "lru"
-
-    def __init__(self):
-        #: resident blocks in recency order (end = most recent)
-        self._lru: "OrderedDict[BlockKey, None]" = OrderedDict()
-        self._store: Optional["KvBlockStore"] = None
+    #: no dead-block predicate: plain LRU victims
+    dead = None
 
     def bind(self, store: "KvBlockStore") -> None:
         self._store = store
 
-    # -- residency tracking (called by the store) -----------------------
-    def touch(self, block: BlockKey) -> None:
-        self._lru[block] = None
-        self._lru.move_to_end(block)
-
-    def forget(self, block: BlockKey) -> None:
-        self._lru.pop(block, None)
-
-    def victim(self, pinned) -> Optional[BlockKey]:
-        """The block to drop next; ``None`` when everything is pinned."""
-        for block in self._lru:
-            if block not in pinned:
-                return block
-        return None
-
-    # -- attention pattern ----------------------------------------------
     def required(self, session_id: int,
                  blocks: List[BlockKey]) -> List[BlockKey]:
         """The blocks a decode turn must have resident (all of them)."""
         return blocks
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {len(self._lru)} tracked>"
+        return f"<{type(self).__name__}>"
 
 
 class SlidingWindowPolicy(LruPolicy):
@@ -136,8 +117,8 @@ class SlidingWindowPolicy(LruPolicy):
 
     A decode turn only attends to the first ``prefix_blocks`` of each
     layer (the prompt "attention sink") plus the last ``window_blocks``;
-    blocks in between are never needed again, so they are both excluded
-    from :meth:`required` and preferred as eviction victims.
+    blocks in between are never needed again, so they are :meth:`dead`:
+    excluded from :meth:`required` and evicted before any live block.
     """
 
     name = "window"
@@ -151,27 +132,17 @@ class SlidingWindowPolicy(LruPolicy):
         self.window_blocks = window_blocks
         self.prefix_blocks = prefix_blocks
 
-    def _needed(self, block: BlockKey) -> bool:
-        _, _, index = block
+    def dead(self, block: BlockKey) -> bool:
+        """True for a block outside both the prefix and the window."""
+        session_id, _, index = block
         if index < self.prefix_blocks:
-            return True
-        length = self._store.session_layer_blocks(block[0])
-        return index >= length - self.window_blocks
-
-    def victim(self, pinned) -> Optional[BlockKey]:
-        fallback = None
-        for block in self._lru:
-            if block in pinned:
-                continue
-            if not self._needed(block):
-                return block  # dead weight: outside prefix and window
-            if fallback is None:
-                fallback = block
-        return fallback
+            return False
+        length = self._store.session_layer_blocks(session_id)
+        return index < length - self.window_blocks
 
     def required(self, session_id: int,
                  blocks: List[BlockKey]) -> List[BlockKey]:
-        return [b for b in blocks if self._needed(b)]
+        return [b for b in blocks if not self.dead(b)]
 
 
 class KvBlockStore:
@@ -206,18 +177,17 @@ class KvBlockStore:
         self._lbas: Dict[BlockKey, int] = {}
         #: session -> tokens appended so far
         self._tokens: Dict[int, int] = {}
-        self._resident: set = set()
+        #: blocks an in-flight decode depends on (never victims)
         self._pinned: set = set()
+        self._resident = Residency(
+            capacity_blocks, pinned=self._pinned, dead=self.policy.dead
+        )
         #: blocks placed per SSD (allocation-order round-robin proof)
         self.blocks_per_ssd: List[int] = [0] * platform.num_ssds
         self._next_slot = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: admissions that exceeded capacity while every candidate
-        #: victim was pinned (the store runs temporarily over budget
-        #: rather than deadlocking an in-flight decode)
-        self.overflow_admissions = 0
 
     # -- layout ---------------------------------------------------------
     def _allocate(self, block: BlockKey) -> int:
@@ -259,6 +229,13 @@ class KvBlockStore:
     def is_resident(self, block: BlockKey) -> bool:
         return block in self._resident
 
+    @property
+    def overflow_admissions(self) -> int:
+        """Admissions that exceeded capacity while every candidate
+        victim was pinned (the store runs temporarily over budget
+        rather than deadlocking an in-flight decode)."""
+        return self._resident.overflows
+
     # -- the serving fast path ------------------------------------------
     def append_tokens(
         self, session_id: int, tokens: int
@@ -298,7 +275,7 @@ class KvBlockStore:
         missing: List[Tuple[BlockKey, int]] = []
         for block in required:
             if block in self._resident:
-                self.policy.touch(block)
+                self._resident.refresh(block)
                 hits.append(block)
             else:
                 missing.append((block, self._lbas[block]))
@@ -315,18 +292,8 @@ class KvBlockStore:
         """
         if block not in self._lbas:
             raise ConfigurationError(f"admit of unallocated block {block}")
-        self._resident.add(block)
-        self.policy.touch(block)
-        evicted: List[BlockKey] = []
-        while len(self._resident) > self.capacity_blocks:
-            victim = self.policy.victim(self._pinned)
-            if victim is None:
-                self.overflow_admissions += 1
-                break
-            self._resident.discard(victim)
-            self.policy.forget(victim)
-            self.evictions += 1
-            evicted.append(victim)
+        evicted = self._resident.touch(block)
+        self.evictions += len(evicted)
         return evicted
 
     # -- pinning (blocks an in-flight decode depends on) ----------------

@@ -52,14 +52,10 @@ class ServingMetrics:
 
     def __init__(self, registry):
         self.registry = registry
-        instruments = {}
-        for name, kind, help_text, unit in FAMILY_SPECS:
-            family = registry.get(name)
-            if family is None:
-                family = registry.register(
-                    name, kind, help=help_text, unit=unit
-                )
-            instruments[name] = family.child()
+        instruments = {
+            name: registry.ensure(name, kind, help=text, unit=unit).child()
+            for name, kind, text, unit in FAMILY_SPECS
+        }
         self._ttft = instruments["serving_ttft_seconds"]
         self._queue_wait = instruments["serving_queue_wait_seconds"]
         self._turns = instruments["serving_turns_total"]

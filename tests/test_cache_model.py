@@ -219,8 +219,8 @@ def test_write_through_refreshes_recency():
         yield from cached.io(2 * LBAS_PER_PAGE, PAGE)       # evicts 1
 
     platform.env.run(platform.env.process(proc()))
-    assert cached._cached(0)
-    assert not cached._cached(1)
+    assert 0 in cached._lru
+    assert 1 not in cached._lru
 
 
 def test_full_hit_returns_typed_completion():

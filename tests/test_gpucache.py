@@ -1,17 +1,15 @@
-"""GPU cache tier: policies, readahead detector, plan/commit protocol,
+"""GPU cache tier: LRU residency, readahead detector, plan/commit protocol,
 backend wrapper, serving + graph integration, telemetry."""
 
 import pytest
 
 from repro.backends import make_backend
 from repro.cache import (
-    FifoLines,
     GpuCache,
     GpuCacheCompletion,
-    LruLines,
     ReadaheadConfig,
     ReadaheadStream,
-    make_line_policy,
+    Residency,
 )
 from repro.config import PlatformConfig
 from repro.errors import ConfigurationError
@@ -32,34 +30,19 @@ def _cache(platform=None, lines=4, line_bytes=4096, readahead=False,
     )
 
 
-# --- replacement policies ---------------------------------------------------
+# --- LRU residency -------------------------------------------------------
 
 def test_lru_policy_evicts_least_recently_used():
-    lru = LruLines()
+    lru = Residency(capacity=3)
     for line in (1, 2, 3):
-        lru.admit(line)
-    lru.touch(1)
-    assert lru.evict() == 2
-    assert lru.evict() == 3
-    assert lru.evict() == 1
-    assert lru.evict() is None
-
-
-def test_fifo_policy_ignores_recency():
-    fifo = FifoLines()
-    for line in (1, 2, 3):
-        fifo.admit(line)
-    fifo.touch(1)
-    fifo.admit(1)  # re-admission keeps queue position
-    assert fifo.evict() == 1
-    assert fifo.evict() == 2
-
-
-def test_make_line_policy():
-    assert isinstance(make_line_policy("lru"), LruLines)
-    assert isinstance(make_line_policy("fifo"), FifoLines)
-    with pytest.raises(ConfigurationError):
-        make_line_policy("clock")
+        assert lru.touch(line) == []
+    lru.refresh(1)
+    assert list(lru) == [2, 3, 1]
+    assert lru.touch(4) == [2]
+    assert lru.touch(5) == [3]
+    assert lru.touch(6) == [1]
+    assert list(lru) == [4, 5, 6]
+    assert lru.overflows == 0
 
 
 # --- readahead detector -----------------------------------------------------

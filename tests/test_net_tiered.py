@@ -123,6 +123,31 @@ def test_dirty_pages_are_pinned_over_capacity():
     assert tier.resident_pages() == 4
     assert tier.evictions.total == 0
     assert tier.queued_writes.total == 4
+    # the writes of pages 2 and 3 each ran over the 2-page capacity
+    assert tier.stats()["overflow_admissions"] == 2
+
+
+def test_normal_mode_overflow_run_is_pinned():
+    """A healthy fabric with the flush watermark equal to the capacity:
+    dirty pages pin most of the tier, so clean-page eviction and the
+    overflow rule both run on every few requests.  Pinned to the exact
+    simulated outputs."""
+    from repro.units import KiB
+    from repro.workloads.trace import TraceReplayer, make_zipfian_trace
+
+    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+    tier = build_disagg(platform, num_nodes=2, functional=False,
+                        capacity_bytes=256 * KiB, flush_watermark=64)
+    trace = make_zipfian_trace(4000, granularity=4 * KiB, skew=1.5,
+                               write_fraction=0.5, seed=0)
+    TraceReplayer(tier).replay(trace, open_loop=False, concurrency=16)
+    stats = tier.stats()
+    assert platform.env.now == 0.024260701666224144
+    assert platform.env.events_processed == 68663
+    assert (stats["hits"], stats["misses"], stats["evictions"]) == (
+        1718, 308, 529,
+    )
+    assert (stats["resident_pages"], stats["dirty_pages"]) == (64, 5)
 
 
 def test_degraded_mode_serves_residents_and_fails_misses_fast():

@@ -89,6 +89,34 @@ def test_cam_beats_bam_under_memory_pressure():
     assert cam.ttft_p99 < bam.ttft_p99
 
 
+def test_window_policy_engine_run_is_pinned(monkeypatch):
+    """The sliding-window victim path at engine scale: 250 sessions over
+    the 512-block store, where dead blocks outside the prefix and the
+    window are evicted first.  Every value is simulated, so any change
+    to the victim order shows up here."""
+    import repro.experiments.serving as serving
+    from repro.serving import SlidingWindowPolicy
+
+    platforms = []
+
+    class _Recorded(serving.Platform):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            platforms.append(self)
+
+    monkeypatch.setattr(serving, "Platform", _Recorded)
+    result, _ = serving.serve_once(
+        "cam", 250,
+        policy=SlidingWindowPolicy(window_blocks=2, prefix_blocks=1),
+    )
+    assert (result.kv_hits, result.kv_misses, result.kv_evictions) == (
+        1002, 1850, 3268,
+    )
+    assert result.ttft_p50 == 0.000302891670329708
+    assert result.ttft_p99 == 0.002118700000000003
+    assert platforms[0].env.events_processed == 45719
+
+
 def test_metrics_on_run_is_bit_identical():
     """Telemetry observes the run, it never changes it: the
     instrumented run replays the exact simulated history."""

@@ -203,7 +203,7 @@ def test_window_policy_evicts_dead_weight_first():
         policy=SlidingWindowPolicy(window_blocks=2, prefix_blocks=1),
     )
     store.append_tokens(0, 10 * store.layout.tokens_per_block)
-    victim = store.policy.victim(pinned=frozenset())
+    victim = store._resident.victim()
     _, _, index = victim
     length = store.session_layer_blocks(0)
     assert 1 <= index < length - 2  # not prefix, not window
@@ -215,7 +215,7 @@ def test_window_policy_falls_back_to_lru_when_all_needed():
         policy=SlidingWindowPolicy(window_blocks=8, prefix_blocks=1),
     )
     store.append_tokens(0, 3 * store.layout.tokens_per_block)
-    assert store.policy.victim(pinned=frozenset()) is not None
+    assert store._resident.victim() is not None
 
 
 def test_window_policy_validation():
